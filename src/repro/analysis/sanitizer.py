@@ -18,12 +18,29 @@ that source (unless a matching message is already in flight), and a
 rendezvous sender waits on its destination (unless the destination has
 already posted a matching receive).  Whenever a rank blocks — reported
 both by the comm layer and by the kernel's block watchdog — the
-sanitizer walks the edge chain; a cycle raises
+sanitizer checks the graph for a cycle, which raises
 :class:`~repro.errors.CommDeadlockError` naming every rank in the
 cycle and its pending operation.  This converts the classic
 head-to-head rendezvous send (and recv/recv cycles) into an immediate
 diagnostic instead of a drained-heap :class:`DeadlockError` — or, on a
 cluster with periodic daemons, instead of an unbounded hang.
+
+The check is incremental.  A new edge needs one of two events at one
+of its ends: a rank blocks (``on_block``), or a match consumes the
+message or posted receive that suppressed an edge (``on_match``, at
+the receiving rank).  Those ranks are marked *dirty*.  The graph was
+acyclic at the previous check, so every cycle present now runs
+through a dirty rank, and following the out-edge chain from each dirty
+rank finds every cycle the full walk finds, at the same check.  With
+nothing dirty — most kernel-watchdog calls — a check is free.  Pending
+messages are counted per destination, source and tag, and posted
+receives are kept per rank, so one edge costs O(1) (a rendezvous
+sender scans its destination's posted receives).  Every hook is O(1)
+apart from that scan and the ANY_SOURCE rival check (O(sources with
+pending messages at the rank)); a check costs O(dirty ranks x chain
+length).  When a cycle is found, the original full walk
+(:meth:`CommSanitizer._check_deadlock_reference`) raises the error, so
+its rank order and text are those of the full walk.
 
 **Finalize-time accounting.**  :meth:`CommSanitizer.finalize` reports
 messages that were sent but never received, receives that were posted
@@ -123,6 +140,7 @@ class _BlockRec:
     peer: int            # source (recv) or destination (send); may be _ANY
     tag: int
     env_key: int = 0     # id() of the rendezvous envelope, for send-rdv
+    post_key: Optional[int] = None  # id() of the posted receive, for recv
 
     def describe(self) -> str:
         if self.kind in ("recv", "recv-poll"):
@@ -162,8 +180,8 @@ class SanitizerReport:
 class CommSanitizer:
     """Tracks in-flight communication state for one cluster.
 
-    All hooks are O(pending ops) at worst and touch nothing global;
-    the comm layer only calls them when the cluster was built with the
+    Hooks touch nothing global (costs in the module docstring); the
+    comm layer only calls them when the cluster was built with the
     sanitizer enabled.
     """
 
@@ -171,6 +189,12 @@ class CommSanitizer:
         self._msgs: dict[int, _MsgRec] = {}        # id(envelope) -> record
         self._recvs: dict[int, _RecvRec] = {}      # id(_PendingRecv) -> record
         self._blocked: dict[int, _BlockRec] = {}   # rank -> record
+        #: dst -> src -> tag -> number of pending messages in _msgs
+        self._pending: dict[int, dict[int, dict[int, int]]] = {}
+        #: rank -> the _recvs entries of that rank's posted receives
+        self._posted: dict[int, dict[int, _RecvRec]] = {}
+        #: ranks an edge may have appeared at since the last clean check
+        self._dirty: set[int] = set()
         self._colls: dict[tuple, _CollRec] = {}    # (group gid, tag) -> record
         #: (origin, window id, target) -> "waiting" | "held" RMA epochs
         self._rma: dict[tuple[int, int, int], str] = {}
@@ -198,12 +222,31 @@ class CommSanitizer:
     # ------------------------------------------------------------------
     def on_send(self, env) -> None:
         self.n_sends += 1
-        self._msgs[id(env)] = _MsgRec(
+        key = id(env)
+        if key in self._msgs:  # id reused by a message never consumed
+            self._unindex(self._msgs[key])
+        self._msgs[key] = _MsgRec(
             env.src, env.dst, env.tag, env.nbytes, env.rendezvous
         )
+        tags = self._pending.setdefault(env.dst, {}).setdefault(env.src, {})
+        tags[env.tag] = tags.get(env.tag, 0) + 1
+
+    def _unindex(self, m: _MsgRec) -> None:
+        srcs = self._pending[m.dst]
+        tags = srcs[m.src]
+        if tags[m.tag] > 1:
+            tags[m.tag] -= 1
+        elif len(tags) > 1:
+            del tags[m.tag]
+        else:
+            del srcs[m.src]
 
     def on_recv_posted(self, key: int, rank: int, source: int, tag: int) -> None:
-        self._recvs[key] = _RecvRec(rank, source, tag)
+        old = self._recvs.get(key)
+        if old is not None:  # id reused by a receive never matched
+            del self._posted[old.rank][key]
+        rec = self._recvs[key] = _RecvRec(rank, source, tag)
+        self._posted.setdefault(rank, {})[key] = rec
 
     def on_match(
         self,
@@ -215,21 +258,33 @@ class CommSanitizer:
     ) -> None:
         """A receive consumed ``env`` at ``rank`` (query ``source``/``tag``)."""
         self.n_matches += 1
-        self._msgs.pop(id(env), None)
+        m = self._msgs.pop(id(env), None)
+        if m is not None:
+            self._unindex(m)
         if post_key is not None:
-            self._recvs.pop(post_key, None)
-        # The match satisfies the rank's recv wait even though the kernel
-        # has not resumed it yet; keeping the block record past this point
-        # would let the chain walk see a phantom edge (the suppressing
-        # message was just popped above).
+            r = self._recvs.pop(post_key, None)
+            if r is not None:
+                del self._posted[r.rank][post_key]
+        # the consumed message suppressed ``rank``'s recv edge, and the
+        # consumed posted receive a rendezvous sender's edge *into* it
+        self._dirty.add(rank)
+        # A match that satisfies the rank's blocked receive ends its
+        # wait even though the kernel has not resumed it yet; keeping
+        # the block record past this point would let the chain walk see
+        # a phantom edge (the suppressing message was just popped
+        # above).  A match for another receive of the rank (an earlier
+        # irecv) leaves it blocked, and its record in place.
         blk = self._blocked.get(rank)
-        if blk is not None and blk.kind in ("recv", "recv-poll"):
+        if blk is not None and (
+            blk.post_key == post_key if blk.kind == "recv"
+            else blk.kind == "recv-poll" and post_key is None
+        ):
             del self._blocked[rank]
         if source == _ANY:
-            rivals = sorted({
-                m.src for m in self._msgs.values()
-                if m.dst == rank and m.src != env.src and _tag_matches(tag, m.tag)
-            })
+            rivals = sorted(
+                src for src, tags in self._pending.get(rank, {}).items()
+                if src != env.src and (tag == _ANY or tag in tags)
+            )
             if rivals:
                 self.warnings.append(
                     f"ANY_SOURCE race: recv at rank {rank} (tag="
@@ -244,7 +299,15 @@ class CommSanitizer:
     def on_block(
         self, rank: int, kind: str, peer: int, tag: int, env=None
     ) -> None:
-        self._blocked[rank] = _BlockRec(kind, peer, tag, 0 if env is None else id(env))
+        rec = _BlockRec(kind, peer, tag, 0 if env is None else id(env))
+        if kind == "recv":
+            # the comm layer posts a blocking receive right before it
+            # blocks on it: it is the rank's newest posted receive
+            posted = self._posted.get(rank)
+            if posted:
+                rec.post_key = next(reversed(posted))
+        self._blocked[rank] = rec
+        self._dirty.add(rank)
         self.check_deadlock()
 
     def on_unblock(self, rank: int) -> None:
@@ -267,6 +330,48 @@ class CommSanitizer:
         if b.kind in ("recv", "recv-poll"):
             if b.peer == _ANY:
                 return None
+            tags = self._pending.get(rank, {}).get(b.peer)
+            if tags and (b.tag == _ANY or b.tag in tags):
+                return None
+            return b.peer
+        if b.kind == "send-rdv":
+            if b.env_key not in self._msgs:
+                return None  # RTS consumed: the transfer is in progress
+            for r in self._posted.get(b.peer, {}).values():
+                if r.source in (_ANY, rank) and r.tag in (_ANY, b.tag):
+                    return None
+            return b.peer
+        return None  # recv-data: pure network events, always progresses
+
+    def check_deadlock(self) -> None:
+        """Follow the wait-for chain from every dirty rank; on a cycle,
+        raise :class:`CommDeadlockError` through the full walk."""
+        dirty = self._dirty
+        if not dirty:
+            return
+        blocked = self._blocked
+        for cur in dirty:
+            chain: set[int] = set()
+            while cur not in chain:
+                b = blocked.get(cur)
+                if b is None:
+                    break
+                chain.add(cur)
+                cur = self._wait_edge(cur, b)
+            else:
+                # the dirty set stays, so later checks re-raise while
+                # the cycle lasts, as the full walk does
+                self._check_deadlock_reference()
+        dirty.clear()
+
+    def _wait_edge_reference(self, rank: int, b: _BlockRec) -> Optional[int]:
+        """:meth:`_wait_edge` by scanning every pending message and
+        posted receive (the reference the indexes are tested against)."""
+        if b.peer in self._dead:
+            return None  # dead peers resolve by poisoning, not progress
+        if b.kind in ("recv", "recv-poll"):
+            if b.peer == _ANY:
+                return None
             for m in self._msgs.values():
                 if m.src == b.peer and m.dst == rank and _tag_matches(b.tag, m.tag):
                     return None
@@ -284,12 +389,12 @@ class CommSanitizer:
             return b.peer
         return None  # recv-data: pure network events, always progresses
 
-    def check_deadlock(self) -> None:
+    def _check_deadlock_reference(self) -> None:
         """Walk wait-for chains from every blocked rank; raise
         :class:`CommDeadlockError` on the first cycle found."""
         edges: dict[int, int] = {}
         for rank, b in self._blocked.items():
-            peer = self._wait_edge(rank, b)
+            peer = self._wait_edge_reference(rank, b)
             if peer is not None and peer in self._blocked:
                 edges[rank] = peer
         for start in edges:

@@ -2,6 +2,8 @@
 finalize-time accounting, ANY_SOURCE races, and collective checking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import CommSanitizer, sanitizer_enabled
 from repro.config import ClusterSpec, NetworkSpec, NodeSpec
@@ -139,6 +141,28 @@ def test_recv_recv_cycle_is_diagnosed():
     assert "blocked in recv" in str(exc.value)
 
 
+def test_irecv_match_keeps_the_blocked_recv_in_the_graph():
+    """A message matched by an earlier irecv does not satisfy the
+    rank's blocking recv: the rank stays in the wait-for graph and the
+    recv/recv cycle it closes later is diagnosed."""
+    cluster = make_cluster()
+
+    def program(ep):
+        if ep.rank == 0:
+            req = ep.irecv(1, tag=5)
+            yield from ep.recv(1, tag=6)
+            yield from req.wait()
+        else:
+            yield from ep.send(0, tag=5, payload=None)
+            yield Sleep(0.01)
+            yield from ep.recv(0, tag=7)
+
+    with pytest.raises(CommDeadlockError) as exc:
+        run_spmd(cluster, program)
+    assert exc.value.cycle == [0, 1]
+    assert "blocked in recv from rank 1 (tag=6)" in exc.value.ops[0]
+
+
 def test_safe_exchange_ordering_is_not_flagged():
     """send/recv vs recv/send is legal and must not trip the detector."""
     cluster = make_cluster(eager=64)
@@ -223,3 +247,135 @@ def test_collective_mismatch_raises_immediately():
 
     with pytest.raises(SanitizerError, match="collective mismatch"):
         run_spmd(cluster, program)
+
+
+# ----------------------------------------------------------------------
+# incremental deadlock check vs the full reference walk
+# ----------------------------------------------------------------------
+
+class _Env:
+    """The envelope fields the sanitizer reads."""
+
+    def __init__(self, src, dst, tag, rendezvous):
+        self.src, self.dst, self.tag = src, dst, tag
+        self.nbytes = 64 if rendezvous else 8
+        self.rendezvous = rendezvous
+
+
+def test_match_that_uncovers_an_edge_is_checked():
+    """Rank 0 is blocked in recv(1, tag=5) behind an earlier
+    irecv(1, tag=5); rank 1 sent one tag-5 message, then blocked in
+    recv(0).  Delivering that message into the irecv leaves rank 0's
+    wait unsuppressed and closes the cycle, with no rank blocking."""
+    san = CommSanitizer()
+    env = _Env(1, 0, 5, rendezvous=False)
+    san.on_send(env)
+    san.on_recv_posted(10, 1, 0, 7)
+    san.on_block(1, "recv", 0, 7)
+    san.on_recv_posted(20, 0, 1, 5)   # the irecv
+    san.on_recv_posted(21, 0, 1, 5)   # the blocking recv
+    san.on_block(0, "recv", 1, 5)     # in-flight tag 5 suppresses 0 -> 1
+    san.on_match(env, 0, 1, 5, post_key=20)
+    with pytest.raises(CommDeadlockError) as exc:
+        san.check_deadlock()
+    assert exc.value.cycle == [1, 0]
+
+
+def test_match_that_uses_up_a_posted_receive_is_checked():
+    """Rank 1's rendezvous send to rank 0 is covered by rank 0's
+    ANY_SOURCE irecv until a message from rank 2 takes that receive;
+    rank 0 meanwhile waits in recv(1, tag=4)."""
+    san = CommSanitizer()
+    san.on_recv_posted(10, 0, ANY_SOURCE, ANY_TAG)
+    rdv = _Env(1, 0, 3, rendezvous=True)
+    san.on_send(rdv)
+    san.on_block(1, "send-rdv", 0, 3, env=rdv)
+    eager = _Env(2, 0, 9, rendezvous=False)
+    san.on_send(eager)
+    san.on_recv_posted(11, 0, 1, 4)
+    san.on_block(0, "recv", 1, 4)
+    san.on_match(eager, 0, ANY_SOURCE, ANY_TAG, post_key=10)
+    with pytest.raises(CommDeadlockError) as exc:
+        san.check_deadlock()
+    assert exc.value.cycle == [1, 0]
+    assert "rendezvous send to rank 0" in exc.value.ops[1]
+
+
+def _outcome(check):
+    try:
+        check()
+    except CommDeadlockError as err:
+        return err.cycle, err.ops
+    return None
+
+
+#: one step: (action, rank, peer, tag, flag, pick); tag -1 is ANY_TAG
+_STEP = st.tuples(
+    st.sampled_from(["send", "send", "post", "post", "recv", "recv", "poll",
+                     "data", "match", "match", "match", "match", "unblock",
+                     "dead"]),
+    st.integers(0, 5), st.integers(-1, 5), st.integers(-1, 1),
+    st.booleans(), st.integers(0, 1 << 16),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 6), steps=st.lists(_STEP, max_size=80))
+def test_incremental_check_matches_the_full_walk(n, steps):
+    """Drive random hook sequences the way the comm layer orders them
+    and, after every hook, require the incremental check to raise
+    exactly when the full walk finds a cycle, with the same cycle and
+    ops."""
+    san = CommSanitizer()
+    sent = []      # every envelope ever sent (a send-rdv may outlive it)
+    pending = []   # envelopes not yet consumed
+    posted = {}    # key -> (rank, source, tag) of unmatched receives
+    keys = iter(range(1, 1 << 20))
+
+    def hook(fn, *args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except CommDeadlockError:
+            pass  # on_block checks too; a cycle it found must persist
+        assert _outcome(san.check_deadlock) == _outcome(
+            san._check_deadlock_reference)
+
+    for action, rank, peer, tag, flag, pick in steps:
+        rank %= n
+        peer = ANY_SOURCE if peer < 0 else peer % n
+        if action == "send":
+            dst = rank if peer == ANY_SOURCE else peer
+            env = _Env(rank, dst, max(tag, 0), rendezvous=flag)
+            sent.append(env)
+            pending.append(env)
+            hook(san.on_send, env)
+            if flag:
+                hook(san.on_block, rank, "send-rdv", dst, env.tag, env=env)
+        elif action in ("post", "recv"):
+            key = next(keys)
+            posted[key] = (rank, peer, tag)
+            hook(san.on_recv_posted, key, rank, peer, tag)
+            if action == "recv":
+                hook(san.on_block, rank, "recv", peer, tag)
+        elif action == "poll":
+            hook(san.on_block, rank, "recv-poll", peer, tag)
+        elif action == "data" and sent:
+            env = sent[pick % len(sent)]
+            hook(san.on_block, env.dst, "recv-data", env.src, env.tag)
+        elif action == "match" and pending:
+            env = pending.pop(pick % len(pending))
+            # delivery takes the first matching posted receive, as in
+            # SimComm._deliver; else the rank takes it from its mailbox
+            key = next((k for k, (r, source, want) in posted.items()
+                        if r == env.dst and source in (ANY_SOURCE, env.src)
+                        and want in (ANY_TAG, env.tag)), None)
+            if flag and key is not None:
+                _, source, want = posted.pop(key)
+                hook(san.on_match, env, env.dst, source, want, post_key=key)
+            else:
+                source = ANY_SOURCE if pick % 3 == 0 else env.src
+                hook(san.on_match, env, env.dst, source, env.tag)
+        elif action == "unblock":
+            hook(san.on_unblock, rank)
+        elif action == "dead":
+            hook(san.mark_dead, rank)
