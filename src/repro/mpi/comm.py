@@ -29,12 +29,12 @@ synchronous-mode large sends in common MPI implementations.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
 from ..errors import MPIError, RankFailedError
-from ..simcluster import Cluster, Compute, ProcState, Signal, Wait
+from ..simcluster import Cluster, Compute, Poll, ProcState, Signal, Wait
 from .datatypes import payload_nbytes
 from .group import COLL_TAG_BASE
 from .status import ANY_SOURCE, ANY_TAG, Status
@@ -442,19 +442,19 @@ class Endpoint:
             if comm.net.spec.recv_mode == "polling":
                 node = comm.cluster.nodes[self.node_id]
                 chunk = node.spec.quantum * 0.01 * node.spec.speed
+                check = self._poll_check(source, tag)
                 if san is not None:
                     san.on_block(self.rank, "recv-poll", source, tag)
                 while True:
-                    yield Compute(chunk)
-                    if source != ANY_SOURCE and source in comm._dead:
-                        if san is not None:
-                            san.on_unblock(self.rank)
-                        raise RankFailedError(source, "receive from")
-                    env = comm._try_match(self.rank, source, tag)
+                    env = yield Poll(chunk, check)
+                    if env is None:
+                        env = check()
                     if env is not None:
                         break
                 if san is not None:
                     san.on_unblock(self.rank)
+                if env is _POISON:
+                    raise RankFailedError(source, "receive from")
             else:
                 sig = comm.sim.signal("recv")
                 pr = _PendingRecv(source, tag, sig)
@@ -474,6 +474,28 @@ class Endpoint:
         if san is None and not env.rendezvous:
             comm._release_envelope(env)
         return payload, status
+
+    def _poll_check(self, source: int, tag: int) -> Callable[[], Any]:
+        """The per-chunk check of a polling receive: ``_POISON`` once an
+        exact source has died, the matched envelope, or None to keep
+        spinning.  A lone poller's CPU runs it in place at the chunk
+        boundary (:class:`~repro.simcluster.syscalls.Poll`).  Built
+        here, not in ``_recv``, so blocking receives pay no closure
+        cells."""
+        comm = self.comm
+        rank = self.rank
+        box = comm._mailboxes[rank]
+        dead = comm._dead
+        exact = source != ANY_SOURCE
+
+        def check() -> Any:
+            if exact and source in dead:
+                return _POISON
+            if not box:
+                return None
+            return comm._try_match(rank, source, tag)
+
+        return check
 
     def _pull_rendezvous(self, env: _Envelope) -> Generator:
         """CTS back to the sender, then wait for the bulk data."""

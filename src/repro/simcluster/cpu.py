@@ -18,8 +18,21 @@ a non dedicated cluster — which are CPU-bound forever until removed.
 
 Fast path: when a round-robin queue holds a single job, the slice runs
 to the job's completion in one event; the arrival of another job
-preempts the long slice and falls back to quantized slicing.  This
-keeps dedicated-node simulations cheap without changing semantics.
+preempts the long slice and falls back to quantized slicing.  A
+completion normally costs two more events: the job's callback (for a
+process, the resume of its generator) and a deferred dispatch that
+lets the process claim its quantum continuation first.  When the run
+queue is empty and the kernel has nothing else due at this instant
+(:meth:`~repro.simcluster.kernel.Simulator.due_now`), the callback is
+provably the next event and the deferred dispatch provably a no-op, so
+the slice end *folds* them: it calls the callback inline and posts
+nothing.  A busy-poll chunk (:class:`~repro.simcluster.syscalls.Poll`)
+folds further: the CPU runs the chunk's check itself and, when it
+finds nothing, re-arms the same job in place with exactly the
+bookkeeping a resubmit would do — one kernel event per lone poll
+chunk, no generator resume.  Loaded CPUs and same-instant ties keep
+the posted events, so every RNG draw and simulated time stays what it
+was.
 """
 
 from __future__ import annotations
@@ -67,7 +80,7 @@ class Job:
     """
 
     __slots__ = ("proc", "remaining", "callback", "cb_arg", "cancelled",
-                 "allowed", "used_before", "slice_count", "boost_time")
+                 "allowed", "used_before", "slice_count", "boost_time", "poll")
 
     def __init__(self, proc, remaining: float,
                  callback: Optional[Callable[..., None]], cb_arg=None):
@@ -80,6 +93,10 @@ class Job:
         self.used_before = 0.0
         self.slice_count = 0
         self.boost_time: Optional[float] = None  # instant this job was boosted
+        # the syscalls.Poll request this job runs, set by the kernel; a
+        # folded completion passes a non-None check result to the
+        # callback as a second argument
+        self.poll = None
 
 
 class _CPUBase:
@@ -314,11 +331,15 @@ class RoundRobinCPU(_CPUBase):
         return rec[1] / self._EMA_TAU
 
     def _ema_add(self, proc, elapsed: float) -> None:
-        rec = self._ema.setdefault(id(proc), [self.sim.now, 0.0])
-        dt = self.sim.now - rec[0]
+        now = self.sim.now
+        rec = self._ema.get(id(proc))
+        if rec is None:
+            self._ema[id(proc)] = [now, elapsed]
+            return
+        dt = now - rec[0]
         if dt > 0:
             rec[1] *= math.exp(-dt / self._EMA_TAU)
-        rec[0] = self.sim.now
+        rec[0] = now
         rec[1] += elapsed
 
     def _below_fair_share(self, proc) -> bool:
@@ -357,6 +378,7 @@ class RoundRobinCPU(_CPUBase):
         self._current = None
         if job.remaining <= _EPS * self.speed:
             self._complete(job, elapsed)
+            self._post_callback(job)
         else:
             job.proc.state = ProcState.READY
             job.allowed = None  # fresh quantum on its next dispatch
@@ -376,6 +398,10 @@ class RoundRobinCPU(_CPUBase):
             return
         if job.remaining <= _EPS * self.speed:
             self._complete(job, elapsed)
+            if not self._queue and not self.sim.due_now():
+                self._fold(job)
+                return
+            self._post_callback(job)
             # Defer the next dispatch one event so the completing
             # process can resubmit at this instant and claim its
             # quantum continuation before anyone else is dispatched.
@@ -391,6 +417,58 @@ class RoundRobinCPU(_CPUBase):
         if self._current is None:
             self._start_next()
 
+    def _fold(self, job: Job) -> None:
+        """Finish a completion whose posted events are provably
+        redundant (see module docstring): with an empty run queue and
+        nothing else due at this instant, the callback would be the
+        very next event, and ``_deferred_start`` a no-op after it —
+        with the queue empty, every :meth:`submit` dispatches its own
+        job.  Posting nothing also leaves every other event's relative
+        ``(time, seq)`` order as it was."""
+        poll = job.poll
+        if poll is not None:
+            found = poll.check()
+            if found is None:
+                self._rearm(job)
+            else:
+                job.callback(job.cb_arg, found)
+        elif job.callback is not None:
+            if job.cb_arg is None:
+                job.callback()
+            else:
+                job.callback(job.cb_arg)
+
+    def _rearm(self, job: Job) -> None:
+        """Resubmit a poll job that found nothing, in place.
+
+        This is :meth:`submit` + :meth:`_start_next` for the process's
+        next ``Compute`` of the same size, specialised to the instant
+        of a fold: the CPU is idle, the queue empty, and ``_complete``
+        has just recorded this process in ``_last_done`` and (when the
+        quantum is unexpired) in ``_cont``.  So the continuation credit
+        is taken exactly when ``submit`` would take it, the resubmit is
+        never a wakeup (no boost, no RNG draw), and the lone job runs
+        on the fast path.  The process's ``cpu_job`` still points at
+        ``job``, so a kill or inject cancels it as usual.
+        """
+        cont = self._cont
+        if cont is not None:
+            job.allowed = self.quantum - cont[2]
+            job.used_before = cont[2]
+            self._cont = None  # consumed
+        else:
+            job.allowed = None
+            job.used_before = 0.0
+        job.remaining = work = job.poll.work
+        job.slice_count = 1
+        job.boost_time = None
+        job.proc.state = ProcState.RUNNING
+        self._current = job
+        self._slice_start = self.sim.now
+        self._slice_long = True
+        self._slice_timer = self.sim.schedule(work / self.speed,
+                                              self._on_slice_end)
+
     def _complete(self, job: Job, last_slice_elapsed: float) -> None:
         job.proc.state = ProcState.BLOCKED
         self._last_done = (job.proc, self.sim.now)
@@ -401,6 +479,8 @@ class RoundRobinCPU(_CPUBase):
             self._cont = (job.proc, self.sim.now, used)
         else:
             self._cont = None
+
+    def _post_callback(self, job: Job) -> None:
         if job.callback is not None:
             # Defer so completion ordering matches event ordering.
             if job.cb_arg is None:

@@ -55,7 +55,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
-from .syscalls import Compute, Fork, Sleep, Syscall, Wait, WaitAny
+from .syscalls import Compute, Fork, Poll, Sleep, Syscall, Wait, WaitAny
 
 __all__ = [
     "Perturb", "ProcState", "Signal", "SimProcess", "Simulator", "Timer",
@@ -358,6 +358,32 @@ class Simulator:
             heapq.heapify(heap)
             self._heap_cancels = 0
 
+    def due_now(self) -> bool:
+        """True when a live event is pending at the current instant.
+
+        Called from inside a running event, this answers "could any
+        other event run before one this event posts now?" — when it is
+        False, a zero-delay post would be the very next event, so the
+        caller may run it inline instead (the CPU's folded completions,
+        :mod:`repro.simcluster.cpu`).  Cancelled entries at the head of
+        either lane are discarded on the way, so the answer depends only
+        on the live ``(time, seq)`` order and is the same on both
+        engines (the reference engine's ready lane is always empty and
+        its heap holds every event).
+        """
+        ready = self._ready
+        while ready and ready[0].cancelled:
+            ready.popleft()
+        if ready:
+            return True
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            ht = heapq.heappop(heap)[2]
+            if ht.sim is not None:  # a calendar tombstone: keep the count
+                ht.sim = None
+                self._heap_cancels -= 1
+        return bool(heap) and heap[0][0] <= self.now
+
     def signal(self, name: str = "") -> Signal:
         return Signal(self, name)
 
@@ -466,9 +492,10 @@ class Simulator:
                     f"process {proc.name} is not attached to a node but asked to compute"
                 )
             proc.state = ProcState.READY
-            proc.cpu_job = proc.node.cpu.submit(
-                proc, request.work, self._resume_done, proc
-            )
+            job = proc.node.cpu.submit(proc, request.work, self._resume_done, proc)
+            if type(request) is Poll:
+                job.poll = request
+            proc.cpu_job = job
         elif isinstance(request, Wait):
             proc.state = ProcState.BLOCKED
             request.signal._add_waiter2(self._wake, proc)
@@ -515,10 +542,12 @@ class Simulator:
         proc.state = ProcState.READY
         self._resume(proc, value)
 
-    def _resume_done(self, proc: SimProcess) -> None:
-        """Compute-completion callback (pre-bound, no per-submit closure)."""
+    def _resume_done(self, proc: SimProcess, value: Any = None) -> None:
+        """Compute-completion callback (pre-bound, no per-submit closure).
+        ``value`` is what a :class:`Poll` check found when the CPU ran
+        it at a folded boundary; a plain completion resumes with None."""
         proc.cpu_job = None
-        self._resume(proc, None)
+        self._resume(proc, value)
 
     # ------------------------------------------------------------------
     # main loop

@@ -9,7 +9,7 @@ from these five primitives:
 * :class:`Compute` — consume CPU work units on the owning node.  The
   time this takes depends on the node's speed *and* on competing
   processes sharing the CPU — this is the essence of the non dedicated
-  cluster model.
+  cluster model.  :class:`Poll` is one chunk of a busy-wait loop.
 * :class:`Sleep` — advance simulated time without using CPU.
 * :class:`Wait` — block until a :class:`~repro.simcluster.kernel.Signal`
   fires; resumes with the fired value.
@@ -21,12 +21,12 @@ from these five primitives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Signal, SimProcess
 
-__all__ = ["Compute", "Sleep", "Wait", "WaitAny", "Fork", "Syscall"]
+__all__ = ["Compute", "Poll", "Sleep", "Wait", "WaitAny", "Fork", "Syscall"]
 
 
 class Syscall:
@@ -44,6 +44,24 @@ class Compute(Syscall):
     def __post_init__(self) -> None:
         if self.work < 0:
             raise ValueError(f"negative work: {self.work}")
+
+
+@dataclass(frozen=True)
+class Poll(Compute):
+    """One chunk of a busy-wait loop: a :class:`Compute` that carries
+    the loop's ``check``, a zero-argument call returning None to keep
+    spinning or the value the loop waits for.
+
+    After a plain completion the request resumes with None and the
+    process runs the check itself.  A round-robin CPU that completes
+    the chunk with nothing else due at that instant runs the check in
+    place instead: on None it re-arms the same chunk without resuming
+    the process, otherwise it resumes the process with the value (see
+    :meth:`~repro.simcluster.cpu.RoundRobinCPU._fold`).  The check must
+    therefore be safe to call from inside a CPU event.
+    """
+
+    check: Callable[[], Any]
 
 
 @dataclass(frozen=True)
