@@ -14,7 +14,9 @@ the classic CG recurrence.  Each phase cycle = one CG iteration:
 
 Between redistributions the owned rows are traversed through a CSR
 snapshot (``SparseMatrix.csr_rows``) — exactly the custom-format
-escape hatch the paper describes at the end of Section 4.4.
+escape hatch the paper describes at the end of Section 4.4.  The work
+model reads the per-row nnz the same way (``SparseMatrix.row_nnz_array``),
+so neither walks the row lists more than once per redistribution.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ def cg_program(ctx, cfg: CGConfig) -> Generator:
         return csr_cache["indptr"], csr_cache["cols"], csr_cache["vals"]
 
     def work_of(s: int, e: int) -> np.ndarray:
-        nnz = np.array([A.row_nnz(g) for g in range(s, e + 1)], dtype=float)
-        return nnz * CG_WORK_PER_NNZ + CG_WORK_PER_ROW
+        # the nnz array is memoized on the matrix version, so the row
+        # lists are walked once per redistribution, not once per cycle
+        return A.row_nnz_array(s, e) * CG_WORK_PER_NNZ + CG_WORK_PER_ROW
 
     full_p: Optional[np.ndarray] = None
 

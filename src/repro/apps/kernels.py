@@ -23,6 +23,8 @@ they work directly on :class:`~repro.dmem.dense.ProjectedArray` rows
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -129,13 +131,19 @@ def make_cg_rows(n: int, row: int, *, nnz_target: int = 12, seed: int = 1234):
     return np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float)
 
 
-def _cg_offsets(row: int, count: int, seed: int) -> set[int]:
-    """Hashed upward edge offsets of ``row`` within the band."""
+@lru_cache(maxsize=4 * _CG_SPAN)
+def _cg_offsets(row: int, count: int, seed: int) -> frozenset[int]:
+    """Hashed upward edge offsets of ``row`` within the band.
+
+    Building row ``i`` asks for the offsets of rows ``i - _CG_SPAN ..
+    i``, so a bounded cache computes each row's offsets once when rows
+    are built in order.  The result is shared between callers, hence
+    immutable."""
     out = set()
     for t in range(count):
         h = (row * 2_654_435_761 + t * 40_503 + seed * 97) & 0xFFFFFFFF
         out.add(1 + (h % _CG_SPAN))
-    return out
+    return frozenset(out)
 
 
 def _pair_val(i: int, j: int, seed: int) -> float:

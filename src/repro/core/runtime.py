@@ -859,7 +859,9 @@ class DynMPI:
 
         ``work_of_rows(s, e)`` returns per-row work units for rows
         ``s..e`` inclusive (the application's cost surrogate — on a
-        real system this is simply the rows' execution).  ``exec_rows``
+        real system this is simply the rows' execution).  The runtime
+        only reads that array, and only during this call, so an
+        application may return a cached or read-only one.  ``exec_rows``
         optionally performs the real numpy computation for those rows.
 
         ``rows`` restricts the call to a sub-range of the owned rows —

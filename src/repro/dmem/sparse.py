@@ -13,7 +13,13 @@ element / set next element / advance row / move to first element);
 efficiency remedy for list traversal — copy into a custom format
 between redistributions; :meth:`SparseMatrix.csr_rows` provides that
 conversion (a CSR snapshot of a row range) and the CG application uses
-it exactly as the paper prescribes.
+it exactly as the paper prescribes.  :meth:`SparseMatrix.row_nnz_array`
+is the same remedy for per-row element counts: the nnz of a row range
+as a read-only array, rebuilt only when the matrix changes.
+
+Column ids are integers: :meth:`SparseMatrix.get`, :meth:`SparseMatrix.set`
+and :meth:`SparseMatrix.set_row_items` accept integral values of any
+numeric type, store them as Python ``int``, and reject the rest.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ class SparseMatrix:
         #: materialized rows only (held rows absent here are empty)
         self._rows: dict[int, list[list]] = {}  # g -> [[col, val], ...]
         self._csr_version = 0
+        #: ((csr_version, s, e), nnz array) of the last row_nnz_array call
+        self._nnz_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # row lifecycle
@@ -73,9 +81,30 @@ class SparseMatrix:
         if not (0 <= g < self.n_rows):
             raise AllocationError(f"{self.name}: row {g} out of range [0,{self.n_rows})")
 
-    def _check_col(self, c: int) -> None:
-        if not (0 <= c < self.n_cols):
+    def _check_col(self, c) -> int:
+        """Column id ``c`` as a Python ``int``; AllocationError if it is
+        not integral or out of range."""
+        try:
+            ci = int(c)
+        except (TypeError, ValueError, OverflowError):
+            ci = None
+        if ci is None or ci != c:
+            raise AllocationError(f"{self.name}: column {c!r} is not an integer")
+        if not (0 <= ci < self.n_cols):
             raise AllocationError(f"{self.name}: column {c} out of range [0,{self.n_cols})")
+        return ci
+
+    def _check_cols(self, cols) -> list[int]:
+        """:meth:`_check_col` over a whole column vector.  Integer ids
+        take one range check; anything else is checked element by
+        element.  Raises naming the first bad column."""
+        arr = np.asarray(cols)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            return [self._check_col(c) for c in cols]
+        ids = arr.tolist()
+        if ids and (min(ids) < 0 or max(ids) >= self.n_cols):
+            self._check_col(next(c for c in ids if not 0 <= c < self.n_cols))
+        return ids
 
     def hold(self, rows: Iterable[int]) -> int:
         ivl = IntervalSet.coerce(rows)
@@ -130,6 +159,32 @@ class SparseMatrix:
     def row_nnz(self, g: int) -> int:
         return len(self._peek(g))
 
+    def row_nnz_array(self, s: int, e: int) -> np.ndarray:
+        """nnz of the held rows ``s..e`` (inclusive) as a read-only
+        int64 array.
+
+        The array is kept until the matrix changes (the
+        :attr:`csr_version` rule) or another range is asked for, so a
+        caller that wants the same range every cycle walks the row
+        lists once per matrix version.  Raises AllocationError, as
+        :meth:`row_nnz` does, if a row of the range is not held."""
+        key = (self._csr_version, s, e)
+        memo = self._nnz_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        if e >= s:
+            self._check_row(s)
+            self._check_row(e)
+            missing = IntervalSet.span(s, e) - self._held
+            if missing:
+                self._peek(missing.min_row)  # raises: not held
+        rows = self._rows
+        out = np.fromiter((len(rows.get(g, _EMPTY_ROW)) for g in range(s, e + 1)),
+                          dtype=np.int64, count=max(0, e - s + 1))
+        out.flags.writeable = False
+        self._nnz_memo = (key, out)
+        return out
+
     def row_wire_nbytes(self, g: int) -> int:
         return ROW_WIRE_BYTES + self.row_nnz(g) * ELEM_WIRE_BYTES
 
@@ -152,7 +207,7 @@ class SparseMatrix:
     # element access
     # ------------------------------------------------------------------
     def get(self, g: int, col: int) -> float:
-        self._check_col(col)
+        col = self._check_col(col)
         for c, v in self._peek(g):
             if c == col:
                 return v
@@ -160,7 +215,7 @@ class SparseMatrix:
 
     def set(self, g: int, col: int, value) -> None:
         """Set element (g, col); appends if absent, removes on 0.0."""
-        self._check_col(col)
+        col = self._check_col(col)
         row = self._peek(g)
         for item in row:
             if item[0] == col:
@@ -177,16 +232,15 @@ class SparseMatrix:
             self._csr_version += 1
 
     def set_row_items(self, g: int, cols: Sequence[int], vals: Sequence[float]) -> None:
-        """Replace row ``g`` wholesale (bulk build)."""
+        """Replace row ``g`` wholesale (bulk build).  On error the row
+        is left as it was."""
         if len(cols) != len(vals):
             raise AllocationError("cols/vals length mismatch")
-        for c in cols:
-            self._check_col(int(c))
+        ids = self._check_cols(cols)
+        fvals = np.asarray(vals, dtype=np.float64).tolist()
         row = self._row(g)
         self.stats.record_free(len(row) * ELEM_STORE_BYTES)
-        row.clear()
-        for c, v in zip(cols, vals):
-            row.append([int(c), float(v)])
+        row[:] = [[c, v] for c, v in zip(ids, fvals)]
         self.stats.record_alloc(len(row) * ELEM_STORE_BYTES)
         self._csr_version += 1
 

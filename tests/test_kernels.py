@@ -1,10 +1,13 @@
 """Unit tests for the application kernels and their sequential
 references (repro.apps.kernels / repro.apps.reference)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.apps.kernels import (
+    _cg_offsets,
     jacobi_row_update,
     make_cg_rows,
     particle_row_flows,
@@ -87,6 +90,45 @@ def test_cg_rows_deterministic():
     c1, v1 = make_cg_rows(100, 42)
     c2, v2 = make_cg_rows(100, 42)
     assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
+
+
+#: sha256 over every row's cols then vals bytes of the Figure 4 CG
+#: matrix (n = 14000, nnz_target = 12, seed = 1234), as generated
+#: before the offsets were memoized; the memo must never change it
+CG_14000_SHA256 = "fadae3e4ab2d99f29a7cddfdace71084fddabaaebe949319eafc08fd607409b9"
+
+
+def _cg_digest(n, rows):
+    h = hashlib.sha256()
+    for g in rows:
+        cols, vals = make_cg_rows(n, g, nnz_target=12, seed=1234)
+        h.update(cols.tobytes())
+        h.update(vals.tobytes())
+    return h.hexdigest()
+
+
+def test_cg_rows_golden_matrix():
+    _cg_offsets.cache_clear()
+    assert _cg_digest(14000, range(14000)) == CG_14000_SHA256
+
+
+def test_cg_rows_independent_of_build_order():
+    n = 600
+    _cg_offsets.cache_clear()
+    forward = {g: make_cg_rows(n, g) for g in range(n)}
+    _cg_offsets.cache_clear()
+    for g in [*range(n - 1, -1, -7), *range(n - 1, -1, -1)]:
+        cols, vals = make_cg_rows(n, g)
+        assert np.array_equal(cols, forward[g][0])
+        assert np.array_equal(vals, forward[g][1])
+
+
+def test_cg_offsets_hand_out_no_mutable_shared_object():
+    first = _cg_offsets(42, 5, 1234)
+    assert isinstance(first, frozenset)
+    again = _cg_offsets(42, 5, 1234)
+    assert isinstance(again, frozenset) and again == first
+    assert all(1 <= d <= 16 for d in first)
 
 
 def test_cg_rows_include_diagonal_and_stay_in_range():

@@ -1,15 +1,18 @@
 """Property-based tests (hypothesis) for the memory substrate:
 pack/unpack round trips, hold/drop invariants, the
-projection-vs-contiguous accounting ordering, and slab storage
-bitwise-equal to the retired dict-of-rows layout."""
+projection-vs-contiguous accounting ordering, slab storage
+bitwise-equal to the retired dict-of-rows layout, and the sparse nnz
+memo staying in step with every mutator."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervals import IntervalSet
 from repro.core.reference import RowDictStore
 from repro.dmem import ContiguousArray, MemCostModel, ProjectedArray, SparseMatrix
+from repro.errors import AllocationError
 
 row_sets = st.sets(st.integers(min_value=0, max_value=39), min_size=1, max_size=40)
 
@@ -239,3 +242,84 @@ def test_slab_matches_rowdict_redistribute_recovery_cycle(data):
         slabs[victim].unpack(own, ck_s)
         refs[victim].unpack(own.to_rows(), ck_r)
     _assert_bitwise_equal(slabs[victim], refs[victim])
+
+
+_NNZ_ROWS, _NNZ_COLS = 8, 6
+_NNZ_OPS = ("hold", "drop", "retarget", "set", "set_row_items", "unpack",
+            "set_next", "query")
+
+
+def _draw_span(data) -> tuple[int, int]:
+    a = data.draw(st.integers(0, _NNZ_ROWS - 1))
+    b = data.draw(st.integers(0, _NNZ_ROWS - 1))
+    return min(a, b), max(a, b)
+
+
+def _draw_row_items(data, *, min_size: int = 0):
+    cols = sorted(data.draw(st.sets(st.integers(0, _NNZ_COLS - 1),
+                                    min_size=min_size, max_size=4)))
+    vals = [data.draw(st.sampled_from([1.0, -2.5, 3.0])) for _ in cols]
+    return cols, vals
+
+
+def _assert_nnz_array(m: SparseMatrix, s: int, e: int) -> None:
+    got = m.row_nnz_array(s, e)
+    assert not got.flags.writeable
+    assert got.tolist() == [m.row_nnz(g) for g in range(s, e + 1)]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_sparse_row_nnz_array_tracks_every_mutator(data):
+    """After any mix of hold/drop/retarget, set (removal by 0.0
+    included), set_row_items, unpack (empty rows included) and the
+    iterator's set_next, the memoized nnz array of the first held span
+    equals a fresh per-row count, and a range with an unheld row
+    raises."""
+    m = SparseMatrix("m", (_NNZ_ROWS, _NNZ_COLS))
+    m.hold(range(_NNZ_ROWS))
+    for _ in range(data.draw(st.integers(1, 30))):
+        op = data.draw(st.sampled_from(_NNZ_OPS))
+        held = m.held_rows()
+        if op in ("hold", "drop", "retarget"):
+            lo, hi = _draw_span(data)
+            getattr(m, op)(range(lo, hi + 1))
+        elif op == "set" and held:
+            g = data.draw(st.sampled_from(held))
+            c = data.draw(st.integers(0, _NNZ_COLS - 1))
+            m.set(g, c, data.draw(st.sampled_from([0.0, 0.0, 1.0, -2.5])))
+        elif op == "set_row_items" and held:
+            g = data.draw(st.sampled_from(held))
+            cols, vals = _draw_row_items(data)
+            if data.draw(st.booleans()):
+                cols, vals = np.array(cols, dtype=np.int64), np.array(vals)
+            m.set_row_items(g, cols, vals)
+        elif op == "unpack":
+            rows = sorted(data.draw(st.sets(st.integers(0, _NNZ_ROWS - 1),
+                                            min_size=1, max_size=4)))
+            row_ptr, cols, vals = [0], [], []
+            for _g in rows:
+                c, v = _draw_row_items(data)
+                cols += c
+                vals += v
+                row_ptr.append(len(cols))
+            m.unpack(rows, {"row_ptr": np.array(row_ptr, dtype=np.int64),
+                            "cols": np.array(cols, dtype=np.int32),
+                            "vals": np.array(vals, dtype=np.float64)})
+        elif op == "set_next" and held:
+            it = m.iterator(data.draw(st.sampled_from(held)))
+            for _k in range(data.draw(st.integers(0, 3))):
+                if it.has_next():
+                    it.next()
+            if it.has_next():
+                it.set_next(data.draw(st.sampled_from([0.0, 7.0])))
+        elif op == "query":
+            lo, hi = _draw_span(data)
+            if all(m.holds(g) for g in range(lo, hi + 1)):
+                _assert_nnz_array(m, lo, hi)
+            else:
+                with pytest.raises(AllocationError):
+                    m.row_nnz_array(lo, hi)
+        spans = m.held_intervals().spans
+        if spans:
+            _assert_nnz_array(m, *spans[0])

@@ -191,3 +191,110 @@ def test_row_wire_nbytes():
     s.set_row_items(0, [1, 2, 3], [1, 2, 3])
     assert s.row_wire_nbytes(0) == ROW_WIRE_BYTES + 3 * ELEM_WIRE_BYTES
     assert s.row_wire_nbytes(1) == ROW_WIRE_BYTES
+
+
+# ----------------------------------------------------------------------
+# column ids must be integers
+# ----------------------------------------------------------------------
+def test_set_rejects_non_integral_column():
+    s = build()
+    with pytest.raises(AllocationError, match="2.5"):
+        s.set(0, 2.5, 1.0)
+    assert s.row_nnz(0) == 0
+    with pytest.raises(AllocationError):
+        s.get(0, 2.5)
+    with pytest.raises(AllocationError):
+        s.set(0, float("nan"), 1.0)
+    with pytest.raises(AllocationError):
+        s.set(0, "3", 1.0)
+
+
+def test_set_row_items_rejects_non_integral_column_and_keeps_row():
+    s = build()
+    s.set_row_items(1, [0, 4], [2.0, 4.0])
+    before = s.stats.snapshot()
+    with pytest.raises(AllocationError, match="1.7"):
+        s.set_row_items(1, [1.7], [3.0])
+    with pytest.raises(AllocationError):
+        s.set_row_items(1, np.array([1.0, 2.5]), [3.0, 4.0])
+    assert s.row_items(1) == [(0, 2.0), (4, 4.0)]
+    assert s.stats.snapshot() == before
+
+
+def test_set_row_items_names_first_bad_column_and_keeps_row():
+    s = build(4, 8)
+    s.set_row_items(2, [3], [1.0])
+    with pytest.raises(AllocationError, match="column 9 "):
+        s.set_row_items(2, np.array([1, 9, 12], dtype=np.int64), [1.0, 2.0, 3.0])
+    with pytest.raises(AllocationError, match="column -1 "):
+        s.set_row_items(2, [2, -1, 8], [1.0, 2.0, 3.0])
+    assert s.row_items(2) == [(3, 1.0)]
+
+
+def test_integral_column_ids_are_normalised_to_int():
+    s = build()
+    s.set(0, 2.0, 1.5)
+    s.set(0, np.int64(5), 2.5)
+    assert s.get(0, 2) == 1.5 and s.get(0, np.float64(5.0)) == 2.5
+    s.set_row_items(1, np.array([1.0, 3.0]), np.array([1.0, 3.0], dtype=np.float32))
+    s.set_row_items(2, np.array([0, 7], dtype=np.int32), [1, 2])
+    for g in (0, 1, 2):
+        for c, v in s.row_items(g):
+            assert type(c) is int and type(v) is float
+    assert s.row_items(1) == [(1, 1.0), (3, 3.0)]
+    assert s.row_items(2) == [(0, 1.0), (7, 2.0)]
+
+
+def test_pack_unpack_keeps_normalised_columns():
+    src = build()
+    src.set(0, 2.0, 1.5)
+    src.set(0, np.int64(6), -1.0)
+    src.set_row_items(3, np.array([1.0, 4.0]), [4.0, 5.0])
+    payload, _ = src.pack([0, 3])
+    dst = SparseMatrix("d", (6, 8))
+    dst.unpack([0, 3], payload)
+    assert dst.row_items(0) == src.row_items(0) == [(2, 1.5), (6, -1.0)]
+    assert dst.row_items(3) == src.row_items(3) == [(1, 4.0), (4, 5.0)]
+    for m in (src, dst):
+        assert all(type(c) is int for c, _ in m.row_items(0) + m.row_items(3))
+
+
+# ----------------------------------------------------------------------
+# row_nnz_array
+# ----------------------------------------------------------------------
+def test_row_nnz_array_values_and_read_only():
+    s = build(6, 8)
+    s.set_row_items(1, [0, 2, 4], [1.0, 2.0, 3.0])
+    s.set(3, 7, 1.0)
+    nnz = s.row_nnz_array(0, 5)
+    assert nnz.dtype == np.int64
+    assert nnz.tolist() == [0, 3, 0, 1, 0, 0]
+    assert not nnz.flags.writeable
+    with pytest.raises(ValueError):
+        nnz[0] = 5
+    assert s.row_nnz_array(2, 1).tolist() == []
+
+
+def test_row_nnz_array_memo_follows_matrix_version():
+    s = build(6, 8)
+    s.set(2, 1, 1.0)
+    first = s.row_nnz_array(1, 4)
+    assert s.row_nnz_array(1, 4) is first  # unchanged matrix: same array
+    s.set(2, 3, 1.0)
+    assert s.row_nnz_array(1, 4).tolist() == [0, 2, 0, 0]
+    s.set(2, 1, 0.0)  # removal
+    assert s.row_nnz_array(1, 4).tolist() == [0, 1, 0, 0]
+    assert s.row_nnz_array(0, 2).tolist() == [0, 0, 1]  # another range
+
+
+def test_row_nnz_array_requires_held_rows():
+    s = SparseMatrix("s", (6, 4))
+    s.hold([0, 1, 3])
+    assert s.row_nnz_array(0, 1).tolist() == [0, 0]
+    with pytest.raises(AllocationError, match="row 2 is not held"):
+        s.row_nnz_array(0, 3)
+    with pytest.raises(AllocationError):
+        s.row_nnz_array(3, 6)  # past the last row
+    s.drop([1])
+    with pytest.raises(AllocationError):
+        s.row_nnz_array(0, 1)  # memoized range, now partly dropped
